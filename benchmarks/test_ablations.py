@@ -16,13 +16,14 @@ from dataclasses import replace
 
 from repro.bench.harness import PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
-from repro.core.protocol import M2Paxos, M2PaxosConfig
+from repro.core.protocol import M2Paxos
 from repro.metrics.collector import MetricsCollector
 from repro.sim.cluster import Cluster, ClusterConfig
 from repro.sim.cpu import CpuConfig
 from repro.sim.latency import GaussianLatency
 from repro.sim.network import NetworkConfig
 from repro.sim.rng import RngRegistry
+from repro.spec import BENCH_M2
 from repro.workloads.client import ClientConfig, OpenLoopClients
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 
@@ -62,22 +63,13 @@ def run_m2(n_nodes, m2_config, batching=True, clients=64, think=0.002,
     return collector.result()
 
 
-BENCH_CONFIG = M2PaxosConfig(
-    forward_timeout=1.0,
-    gap_timeout=0.5,
-    gap_check_period=0.25,
-    supervise_timeout=30.0,
-    round_timeout=10.0,
-)
-
-
 def test_ablation_ack_to_all(benchmark):
     """N^2 learning (paper's Algorithm 2 literal) vs decide broadcast."""
 
     def once():
         rows = []
         for ack_to_all in (False, True):
-            config = replace(BENCH_CONFIG, ack_to_all=ack_to_all)
+            config = replace(BENCH_M2, ack_to_all=ack_to_all)
             result = run_m2(5, config)
             rows.append(
                 {
@@ -108,7 +100,7 @@ def test_ablation_batching(benchmark):
     def once():
         rows = []
         for batching in (True, False):
-            result = run_m2(5, BENCH_CONFIG, batching=batching)
+            result = run_m2(5, BENCH_M2, batching=batching)
             rows.append(
                 {
                     "batching": batching,
@@ -140,25 +132,11 @@ def test_ablation_home_hint_tpcc(benchmark):
                     n_nodes=3,
                     workload="tpcc",
                     tpcc=TpccConfig(remote_warehouse_prob=0.0),
+                    # An explicit override replaces the harness's hint.
+                    m2={} if use_hint else {"home_hint": None},
                 )
             )
-            if not use_hint:
-                # Bypass the harness's automatic hint by running the
-                # synthetic path of the factory manually.
-                import repro.bench.harness as harness
-
-                original = harness.protocol_factory
-
-                def no_hint_factory(name, home_hint=None):
-                    return original(name, home_hint=None)
-
-                harness.protocol_factory = no_hint_factory
-                try:
-                    result = run_point(spec)
-                finally:
-                    harness.protocol_factory = original
-            else:
-                result = run_point(spec)
+            result = run_point(spec)
             rows.append({"home_hint": use_hint, "throughput": result.throughput})
         return rows
 

@@ -143,14 +143,12 @@ def _remote_p50_ms(per_zone: dict, home_zone: int) -> float:
     return sum(remote) / len(remote) if remote else float("nan")
 
 
-def run_geo_arm(
-    config,
-    policy=None,
-    quorum=None,
-    zones: tuple[int, ...] = GEO_ZONES,
-    nearest_accept: bool = False,
-) -> dict:
-    """One geo arm: build, warm (migrations happen here), measure."""
+def run_geo_arm(config, zones: tuple[int, ...] = GEO_ZONES, **m2) -> dict:
+    """One geo arm: build, warm (migrations happen here), measure.
+
+    ``m2`` holds M2Paxos tunables (``policy``, ``quorum``,
+    ``nearest_accept``, ...); with ``nearest_accept`` the RTT matrix the
+    quorum picker needs is derived from ``zones``."""
     from repro.bench.harness import protocol_factory
     from repro.obs.telemetry import Telemetry
     from repro.sim.cluster import Cluster
@@ -165,15 +163,10 @@ def run_geo_arm(
         zones=zones,
         zone_latency=ZoneLatency(intra=GEO_INTRA, inter=GEO_INTER),
     )
-    factory = protocol_factory(
-        "m2paxos",
-        home_hint=lambda name: HOME_NODE,
-        policy=policy,
-        quorum=quorum,
-        nearest_accept=nearest_accept,
-        quorum_rtt=zone_rtt_matrix(zones) if nearest_accept else None,
-    )
-    cluster = Cluster(spec.sim_cluster_config(), factory)
+    m2 = {"home_hint": lambda name: HOME_NODE, **m2}
+    if m2.get("nearest_accept"):
+        m2["quorum_rtt"] = zone_rtt_matrix(zones)
+    cluster = Cluster(spec.sim_cluster_config(), protocol_factory("m2paxos", **m2))
     workload = GeoZipfWorkload(
         zones, RngRegistry(config.seed * 104729 + 1).stream("geo")
     )
@@ -222,15 +215,12 @@ def bench_geo(config) -> dict:
     from repro.core.quorum import FlexibleQuorums
 
     zones = GEO_ZONES
-    pinned = run_geo_arm(config, zones=zones)
-    affinity = run_geo_arm(
-        config, policy=lambda: ZoneAffinityPolicy(zones), zones=zones
-    )
+    pinned = run_geo_arm(config)
+    affinity = run_geo_arm(config, policy=lambda: ZoneAffinityPolicy(zones))
     flex = run_geo_arm(
         config,
         policy=lambda: ZoneAffinityPolicy(zones),
         quorum=FlexibleQuorums(prepare=4, accept=2),
-        zones=zones,
     )
     # Satellite arm: same flexible quorum, but the owner *targets* the
     # accept quorum minimising its worst RTT instead of broadcasting --
@@ -240,7 +230,6 @@ def bench_geo(config) -> dict:
         config,
         policy=lambda: ZoneAffinityPolicy(zones),
         quorum=FlexibleQuorums(prepare=4, accept=2),
-        zones=zones,
         nearest_accept=True,
     )
 

@@ -1,107 +1,28 @@
 """One benchmark datapoint: build a cluster, drive load, measure.
 
-The protocol configurations used here differ from the library defaults
-only in their supervision timeouts: at saturation, command latency is
-dominated by queueing, and the paper's runs are crash-free, so the
-fault-tolerance timers are relaxed to keep spurious recoveries from
-polluting the measurement (exactly as a real deployment would tune
-them).
+Protocols come from :func:`repro.spec.protocol_factory` (importable
+from here too): every M2Paxos tunable is a field of
+:class:`~repro.core.m2.config.M2PaxosConfig`, and a datapoint names
+only its overrides, in :attr:`PointSpec.m2`.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Any, Mapping, Optional
 
-from repro.consensus.base import Protocol
-from repro.consensus.epaxos import EPaxos, EPaxosConfig
-from repro.consensus.genpaxos import GenPaxos, GenPaxosConfig
-from repro.consensus.multipaxos import MultiPaxos, MultiPaxosConfig
-from repro.core.protocol import M2Paxos, M2PaxosConfig
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.sim.cluster import Cluster
 from repro.sim.cpu import CpuConfig
 from repro.sim.latency import GaussianLatency
 from repro.sim.network import NetworkConfig
 from repro.sim.rng import RngRegistry
-from repro.spec import ClusterSpec, ZoneLatency
+from repro.spec import ClusterSpec, ZoneLatency, protocol_factory
 from repro.storage.base import StorageConfig
 from repro.workloads.client import ClientConfig, OpenLoopClients
 from repro.workloads.synthetic import SyntheticConfig, SyntheticWorkload
 from repro.workloads.tpcc import TpccConfig, TpccWorkload
-
-PROTOCOLS = ("m2paxos", "multipaxos", "genpaxos", "epaxos")
-
-
-def protocol_factory(
-    name: str,
-    home_hint: Optional[Callable[[str], int]] = None,
-    max_batch: int = 1,
-    batch_wait: float = 0.0,
-    batch_adaptive: bool = False,
-    costs=None,
-    policy=None,
-    quorum=None,
-    lease_duration: float = 0.0,
-    lease_margin: float = 0.002,
-    session_cap: int = 65536,
-    nearest_accept: bool = False,
-    quorum_rtt: Optional[tuple] = None,
-) -> Callable[[int, int], Protocol]:
-    """Benchmark-tuned factory for each protocol under test.
-
-    ``max_batch``/``batch_wait``/``batch_adaptive`` configure M2Paxos
-    fast-path batching (ignored by the other protocols); ``costs``
-    optionally replaces the protocol's CPU-cost profile (the perf bench
-    uses a wire-bound profile to isolate the protocol-layer effect of
-    batching).  ``policy`` is an ownership-policy *factory* (zero-arg
-    callable -- policies hold per-node state) and ``quorum`` a
-    :class:`~repro.core.quorum.QuorumSystem` spec; both are M2Paxos-only,
-    as are the serving-tier knobs (``lease_duration``/``lease_margin``/
-    ``session_cap``) and latency-aware accept targeting
-    (``nearest_accept`` + ``quorum_rtt``).
-    """
-    if name == "m2paxos":
-        config = M2PaxosConfig(
-            forward_timeout=1.0,
-            # Balanced gap healing: fast enough that ownership-churn
-            # holes do not stall the pipeline for long, slow enough not
-            # to scoop rounds that are merely queued at saturation.
-            gap_timeout=0.5,
-            gap_check_period=0.25,
-            supervise_timeout=30.0,
-            round_timeout=10.0,
-            home_hint=home_hint,
-            max_batch=max_batch,
-            batch_wait=batch_wait,
-            batch_adaptive=batch_adaptive,
-            policy=policy,
-            quorum=quorum,
-            lease_duration=lease_duration,
-            lease_margin=lease_margin,
-            session_cap=session_cap,
-            nearest_accept=nearest_accept,
-            quorum_rtt=quorum_rtt,
-        )
-
-        def make_m2(node_id: int, n: int) -> Protocol:
-            protocol = M2Paxos(config)
-            if costs is not None:
-                protocol.costs = costs
-            return protocol
-
-        return make_m2
-    if name == "multipaxos":
-        config = MultiPaxosConfig(leader_timeout=30.0)
-        return lambda node_id, n: MultiPaxos(config)
-    if name == "genpaxos":
-        config = GenPaxosConfig(retry_timeout=1.0)
-        return lambda node_id, n: GenPaxos(config)
-    if name == "epaxos":
-        config = EPaxosConfig(commit_timeout=30.0)
-        return lambda node_id, n: EPaxos(config)
-    raise ValueError(f"unknown protocol {name!r}; choose from {PROTOCOLS}")
 
 
 @dataclass
@@ -123,9 +44,6 @@ class PointSpec:
     batching: bool = True
     latency_mean: float = 100e-6
     latency_stddev: float = 10e-6
-    # M2Paxos fast-path batching (1 = off, the seed-identical default).
-    max_batch: int = 1
-    batch_wait: float = 0.0
     # "estimate" (seed default) or "codec" (real binary frame sizes).
     frame_sizes: str = "estimate"
     # Durable storage; None keeps today's in-memory-only behaviour.
@@ -136,17 +54,13 @@ class PointSpec:
     zones: Optional[tuple[int, ...]] = None
     zone_latency: Optional["ZoneLatency"] = None
     zone_affinity: bool = False
-    # Serving tier (m2paxos only; all off by default, keeping the run
-    # byte-identical to the seed): ownership-lease knobs, the aggregate
-    # client-session count per node (wired into both the workload's
-    # session stamps and the open-loop driver), and latency-aware
-    # accept-quorum targeting.
-    lease_duration: float = 0.0
-    lease_margin: float = 0.002
+    # Aggregate client-session count per node, wired into both the
+    # workload's session stamps and the open-loop driver (0 = off).
     sessions_per_node: int = 0
-    nearest_accept: bool = False
-    quorum_rtt: Optional[tuple] = None
-    quorum: Optional[object] = None
+    # M2Paxos tunables (m2paxos only): M2PaxosConfig field overrides
+    # over the bench-tuned ``repro.spec.BENCH_M2``, e.g.
+    # ``{"max_batch": 8}``.  Empty keeps the seed-identical defaults.
+    m2: Mapping[str, Any] = field(default_factory=dict)
 
     def scaled_for_fast_mode(self) -> "PointSpec":
         """Cheaper variant used when REPRO_BENCH_FAST is set."""
@@ -214,25 +128,20 @@ def build_run(
         batching=spec.batching,
         frame_sizes=spec.frame_sizes,
     )
-    home_hint = None
-    if spec.workload == "tpcc":
+    m2: dict[str, Any] = {}
+    if spec.workload == "tpcc" and spec.protocol == "m2paxos":
         # TPC-C declares its partitioning: every object of warehouse W
         # is homed at node ``W % N`` (DESIGN.md, "home-ownership hint").
-        n_nodes = spec.n_nodes
-
-        def home_hint(name: str, _n: int = n_nodes) -> int:
-            return int(name[1:].split(".", 1)[0]) % _n
-
-    policy = None
+        n = spec.n_nodes
+        m2["home_hint"] = lambda name: int(name[1:].split(".", 1)[0]) % n
     if spec.zone_affinity:
         if spec.zones is None:
             raise ValueError("zone_affinity requires zones")
-        if spec.protocol != "m2paxos":
-            raise ValueError("zone_affinity is an m2paxos policy")
         from repro.core.policy import ZoneAffinityPolicy
 
         zones = spec.zones
-        policy = lambda: ZoneAffinityPolicy(zones)  # noqa: E731
+        m2["policy"] = lambda: ZoneAffinityPolicy(zones)
+    m2.update(spec.m2)
     cluster_spec = ClusterSpec(
         protocol=spec.protocol,
         n_nodes=spec.n_nodes,
@@ -245,22 +154,7 @@ def build_run(
     )
     cluster = Cluster(
         cluster_spec.sim_cluster_config(),
-        # The bench-tuned factory, not cluster_spec.protocol_factory():
-        # it layers home hints, fast-path batching, and cost overrides
-        # on top of the spec's protocol choice.
-        protocol_factory(
-            spec.protocol,
-            home_hint=home_hint,
-            max_batch=spec.max_batch,
-            batch_wait=spec.batch_wait,
-            costs=costs,
-            policy=policy,
-            quorum=spec.quorum,
-            lease_duration=spec.lease_duration,
-            lease_margin=spec.lease_margin,
-            nearest_accept=spec.nearest_accept,
-            quorum_rtt=spec.quorum_rtt,
-        ),
+        protocol_factory(spec.protocol, costs=costs, **m2),
     )
     workload_rng = RngRegistry(spec.seed * 7919 + 13)
     workload = build_workload(spec, workload_rng)

@@ -41,6 +41,7 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, replace
 
+from repro.bench.geo import bench_geo
 from repro.consensus.base import ProtocolCosts
 from repro.consensus.commands import Command
 
@@ -301,7 +302,7 @@ def bench_m2_batching(config: PerfConfig) -> dict:
     arms = {}
     for label, spec in (
         ("unbatched", base),
-        ("batched", replace(base, max_batch=8, batch_wait=1e-3)),
+        ("batched", replace(base, m2={"max_batch": 8, "batch_wait": 1e-3})),
     ):
         result = run_point(spec, costs=WIRE_BOUND_COSTS)
         arms[label] = {
@@ -337,14 +338,13 @@ def bench_runtime_tcp(config: PerfConfig) -> dict:
     A single cold run of this bench used to swing more than 10x between
     invocations (cold sockets, allocator and code-cache warmup, and the
     first-touch ownership acquisitions all landed inside the measured
-    window), which made the derived ``sim_runtime_gap`` datapoint
-    untrustworthy.  It now follows the telemetry bench's discipline:
-    each run warms ownership with an unmeasured pass and parks the GC
-    around the measured region, one whole run is burned in unmeasured,
-    and the reported rate is the **best of N repeats** -- timing noise
-    on a shared box is one-sided, so the best repeat is the closest
-    estimate of the uncontaminated cost (the spread is reported
-    alongside as a dispersion check).
+    window), which made the datapoint untrustworthy.  It now follows
+    the telemetry bench's discipline: each run warms ownership with an
+    unmeasured pass and parks the GC around the measured region, one
+    whole run is burned in unmeasured, and the reported rate is the
+    **best of N repeats** -- timing noise on a shared box is one-sided,
+    so the best repeat is the closest estimate of the uncontaminated
+    cost (the spread is reported alongside as a dispersion check).
     """
     from repro.bench.harness import protocol_factory
     from repro.runtime.cluster import LocalCluster, run
@@ -398,6 +398,44 @@ def bench_runtime_tcp(config: PerfConfig) -> dict:
     }
 
 
+async def _measured_drive(
+    cluster, per_node: int, depth: int, warm_depth: int = 8, reads: bool = False
+) -> tuple[float, object]:
+    """Drive ``per_node`` own-object commands per node through a
+    ``depth``-deep :class:`~repro.runtime.driver.PipelineDriver` window;
+    return ``(elapsed seconds, driver)``.
+
+    An unmeasured warm-up pass settles ownership first (first-touch
+    acquisitions and their deferred-retry churn would otherwise bill the
+    measured window for a one-time transient), and the GC is parked for
+    the measured region only (collector pauses skew short windows by
+    whole milliseconds).  ``reads`` makes nine commands in ten reads.
+    """
+    from repro.runtime.driver import PipelineDriver
+
+    nodes = range(len(cluster.nodes))
+    warm = [
+        (node, Command.make(node, 1_000_000 + i, [f"o{node}.{i % 8}"]))
+        for node in nodes
+        for i in range(min(64, per_node))
+    ]
+    await PipelineDriver(cluster, depth=warm_depth).run(warm, timeout=60.0)
+    proposals = [
+        (node, Command.make(node, i, [f"o{node}.{i % 8}"], is_read=reads and i % 10 != 0))
+        for node in nodes
+        for i in range(per_node)
+    ]
+    driver = PipelineDriver(cluster, depth=depth)
+    gc.collect()
+    gc.disable()
+    start = time.perf_counter()
+    try:
+        await driver.run(proposals, timeout=60.0)
+        return time.perf_counter() - start, driver
+    finally:
+        gc.enable()
+
+
 # The one pipelined M2 configuration every saturation arm runs: with
 # ``batch_adaptive`` on, a depth-1 client sees immediate flushes (the
 # serial protocol, batching adds no latency) while deep windows coalesce
@@ -419,41 +457,17 @@ def bench_runtime_saturation(config: PerfConfig) -> dict:
     depth-1 arm is the honest serial baseline for the speedup."""
     from repro.bench.harness import protocol_factory
     from repro.runtime.cluster import LocalCluster, run, uvloop_available
-    from repro.runtime.driver import PipelineDriver
 
     n_nodes = 3
-    n_commands = config.saturation_commands
-    per_node = n_commands // n_nodes
+    per_node = config.saturation_commands // n_nodes
 
     async def arm(depth: int) -> dict:
-        factory = protocol_factory("m2paxos", **SATURATION_M2)
-        cluster = LocalCluster(n_nodes, factory)
+        cluster = LocalCluster(n_nodes, protocol_factory("m2paxos", **SATURATION_M2))
         await cluster.start()
         try:
-            warm = [
-                (node, Command.make(node, 1_000_000 + i, [f"o{node}.{i % 8}"]))
-                for node in range(n_nodes)
-                for i in range(min(64, per_node))
-            ]
-            await PipelineDriver(cluster, depth=min(depth, 8)).run(
-                warm, timeout=60.0
+            elapsed, driver = await _measured_drive(
+                cluster, per_node, depth, warm_depth=min(depth, 8)
             )
-            proposals = [
-                (node, Command.make(node, i, [f"o{node}.{i % 8}"]))
-                for node in range(n_nodes)
-                for i in range(per_node)
-            ]
-            driver = PipelineDriver(cluster, depth=depth)
-            # Collector pauses skew short windows by whole milliseconds;
-            # park the GC for the measured region only.
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            try:
-                await driver.run(proposals, timeout=60.0)
-                elapsed = time.perf_counter() - start
-            finally:
-                gc.enable()
             return {
                 "commands_per_sec": per_node * n_nodes / elapsed,
                 "wall_seconds": elapsed,
@@ -499,15 +513,13 @@ def bench_telemetry_overhead(config: PerfConfig) -> dict:
     """
     from repro.bench.harness import protocol_factory
     from repro.runtime.cluster import LocalCluster, run
-    from repro.runtime.driver import PipelineDriver
 
     n_nodes = 3
     depth = 16
     per_node = config.telemetry_commands // n_nodes
 
     async def arm(telemetry_on: bool) -> dict:
-        factory = protocol_factory("m2paxos", **SATURATION_M2)
-        cluster = LocalCluster(n_nodes, factory)
+        cluster = LocalCluster(n_nodes, protocol_factory("m2paxos", **SATURATION_M2))
         await cluster.start()
         try:
             telemetry = None
@@ -515,26 +527,7 @@ def bench_telemetry_overhead(config: PerfConfig) -> dict:
                 telemetry = await cluster.start_telemetry(
                     interval=config.telemetry_interval, serve=True
                 )
-            warm = [
-                (node, Command.make(node, 1_000_000 + i, [f"o{node}.{i % 8}"]))
-                for node in range(n_nodes)
-                for i in range(min(64, per_node))
-            ]
-            await PipelineDriver(cluster, depth=8).run(warm, timeout=60.0)
-            proposals = [
-                (node, Command.make(node, i, [f"o{node}.{i % 8}"]))
-                for node in range(n_nodes)
-                for i in range(per_node)
-            ]
-            driver = PipelineDriver(cluster, depth=depth)
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            try:
-                await driver.run(proposals, timeout=60.0)
-                elapsed = time.perf_counter() - start
-            finally:
-                gc.enable()
+            elapsed, _ = await _measured_drive(cluster, per_node, depth)
             measurement = {
                 "commands_per_sec": per_node * n_nodes / elapsed,
                 "wall_seconds": elapsed,
@@ -614,7 +607,6 @@ def bench_serving(config: PerfConfig) -> dict:
     """
     from repro.bench.harness import PointSpec, protocol_factory, run_point
     from repro.runtime.cluster import LocalCluster, run
-    from repro.runtime.driver import PipelineDriver
     from repro.workloads.synthetic import SyntheticConfig
 
     def sim_arm(read_fraction: float, leased: bool) -> dict:
@@ -633,7 +625,7 @@ def bench_serving(config: PerfConfig) -> dict:
             warmup=max(config.bench_warmup, 0.4),
             seed=config.seed,
             frame_sizes="codec",
-            lease_duration=config.serving_lease if leased else 0.0,
+            m2={"lease_duration": config.serving_lease if leased else 0.0},
         )
         result = run_point(spec, costs=SERVING_COSTS)
         stats = result.extra["protocol_stats"]
@@ -673,7 +665,6 @@ def bench_serving(config: PerfConfig) -> dict:
     # -- runtime pair: 90% reads over asyncio/TCP --------------------
     n_nodes = 3
     per_node = config.serving_commands // n_nodes
-    warm_per_node = min(64, per_node)
 
     async def runtime_arm(leased: bool) -> dict:
         factory = protocol_factory(
@@ -687,36 +678,9 @@ def bench_serving(config: PerfConfig) -> dict:
         cluster = LocalCluster(n_nodes, factory)
         await cluster.start()
         try:
-            # Unmeasured writes settle ownership (and, on the leased
-            # arm, establish every object's lease) before measuring.
-            warm = [
-                (node, Command.make(node, 1_000_000 + i, [f"o{node}.{i % 8}"]))
-                for node in range(n_nodes)
-                for i in range(warm_per_node)
-            ]
-            await PipelineDriver(cluster, depth=8).run(warm, timeout=60.0)
-            proposals = [
-                (
-                    node,
-                    Command.make(
-                        node,
-                        i,
-                        [f"o{node}.{i % 8}"],
-                        is_read=(i % 10 != 0),
-                    ),
-                )
-                for node in range(n_nodes)
-                for i in range(per_node)
-            ]
-            driver = PipelineDriver(cluster, depth=16)
-            gc.collect()
-            gc.disable()
-            start = time.perf_counter()
-            try:
-                await driver.run(proposals, timeout=60.0)
-                elapsed = time.perf_counter() - start
-            finally:
-                gc.enable()
+            # The unmeasured warm-up writes settle ownership (and, on
+            # the leased arm, establish every object's lease).
+            elapsed, _ = await _measured_drive(cluster, per_node, 16, reads=True)
             return {
                 "commands_per_sec": per_node * n_nodes / elapsed,
                 "wall_seconds": elapsed,
@@ -823,13 +787,6 @@ def bench_storage_fsync(config: PerfConfig) -> dict:
 # Orchestration
 # ----------------------------------------------------------------------
 
-def bench_geo(config: PerfConfig) -> dict:
-    """Geo/WAN migration bench (see :mod:`repro.bench.geo`)."""
-    from repro.bench.geo import bench_geo as run
-
-    return run(config)
-
-
 BENCHES = {
     "sim": bench_sim_events,
     "codec": bench_codec,
@@ -842,28 +799,75 @@ BENCHES = {
     "geo": bench_geo,
 }
 
+# The rows ``repro perf`` prints per bench: ``(label, path)`` where the
+# path is dot-separated keys into the bench's result dict.  A ``*`` key
+# expands to one row per entry at that level, its key filling the
+# label's ``{}``.
+HEADLINES = {
+    "sim": [("sim events/sec", "events_per_sec")],
+    "codec": [
+        ("codec binary/json speedup", "speedup"),
+        ("codec bytes/msg (bin)", "binary_bytes_per_msg"),
+    ],
+    "m2_batching": [
+        ("m2 batched cmds/sec", "batched.commands_per_sec"),
+        ("m2 batching speedup", "speedup"),
+    ],
+    "runtime_tcp": [("runtime TCP cmds/sec", "commands_per_sec")],
+    "runtime_saturation": [
+        ("runtime depth={} cmds/sec", "depths.*.commands_per_sec"),
+        ("runtime pipelined speedup", "pipelined_speedup"),
+    ],
+    "telemetry_overhead": [
+        ("telemetry-off cmds/sec", "off.commands_per_sec"),
+        ("telemetry-on cmds/sec", "on.commands_per_sec"),
+        ("telemetry overhead ratio", "overhead_ratio"),
+    ],
+    "serving": [
+        ("serving {} reads leased cmds/sec", "ratios.*.leased.commands_per_sec"),
+        ("serving {} reads speedup", "ratios.*.speedup"),
+        ("serving read_local speedup", "read_local_speedup"),
+        ("serving runtime speedup (90% reads)", "runtime.speedup"),
+    ],
+    "storage_fsync": [
+        ("fsync-batched records/sec", "batched_fsync_records_per_sec"),
+        ("fsync batching speedup", "speedup"),
+    ],
+    "geo": [
+        ("geo pinned remote p50 ms", "pinned.remote_p50_ms"),
+        ("geo affinity remote p50 ms", "zone_affinity.remote_p50_ms"),
+        ("geo affinity+flex remote p50 ms", "zone_affinity_flex.remote_p50_ms"),
+        ("geo remote p50 improvement", "remote_p50_improvement"),
+        ("geo flex remote p50 improvement", "flex_remote_p50_improvement"),
+        (
+            "geo flex+nearest remote p50 improvement",
+            "flex_nearest_remote_p50_improvement",
+        ),
+    ],
+}
 
-def sim_runtime_gap(results: dict) -> dict | None:
-    """The sim<->runtime gap as a first-class datapoint: how many times
-    faster the simulator's batched saturation throughput is than the
-    best the real asyncio/TCP substrate achieves.  ``None`` unless both
-    sides were measured in this run."""
-    batching = results.get("m2_batching")
-    if batching is None:
-        return None
-    saturation = results.get("runtime_saturation")
-    if saturation is not None:
-        runtime_cps = saturation["best_commands_per_sec"]
-    elif results.get("runtime_tcp") is not None:
-        runtime_cps = results["runtime_tcp"]["commands_per_sec"]
-    else:
-        return None
-    sim_cps = batching["batched"]["commands_per_sec"]
-    return {
-        "sim_commands_per_sec": sim_cps,
-        "runtime_commands_per_sec": runtime_cps,
-        "gap_ratio": sim_cps / runtime_cps if runtime_cps else float("inf"),
-    }
+
+def headline_rows(results: dict) -> list[dict]:
+    """The ``{"bench", "value"}`` report rows :data:`HEADLINES` names
+    for every bench in ``results``, in run order."""
+
+    def rows(label: str, node, keys: list[str]) -> list[dict]:
+        if not keys:
+            return [{"bench": label, "value": node}]
+        if keys[0] == "*":
+            return [
+                row
+                for key, sub in node.items()
+                for row in rows(label.format(key), sub, keys[1:])
+            ]
+        return rows(label, node[keys[0]], keys[1:])
+
+    return [
+        row
+        for bench, result in results.items()
+        for label, path in HEADLINES.get(bench, ())
+        for row in rows(label, result, path.split("."))
+    ]
 
 
 def run_perf(config: PerfConfig, only: list[str] | None = None) -> dict:
@@ -875,9 +879,6 @@ def run_perf(config: PerfConfig, only: list[str] | None = None) -> dict:
     results = {}
     for name in names:
         results[name] = BENCHES[name](config)
-    gap = sim_runtime_gap(results)
-    if gap is not None:
-        results["sim_runtime_gap"] = gap
     return {
         "schema": BENCH_SCHEMA,
         "stamp": time.strftime("%Y%m%d-%H%M%S"),

@@ -201,8 +201,7 @@ SCENARIOS: list[Scenario] = [
         locality=0.6,
         multi=0.0,
         read_fraction=0.5,
-        lease_duration=0.08,
-        lease_margin=0.01,
+        m2={"lease_duration": 0.08, "lease_margin": 0.01},
         settle=5.0,
         description="a leaseholder is partitioned away while others "
         "write its objects (acquisition must wait out the lease), then "

@@ -19,8 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.harness import PROTOCOLS, PointSpec, run_point, saturated_spec
+from repro.bench.harness import PointSpec, run_point, saturated_spec
 from repro.bench.report import print_table
+from repro.spec import PROTOCOLS
 from repro.workloads.synthetic import SyntheticConfig
 from repro.workloads.tpcc import TpccConfig
 
@@ -92,8 +93,9 @@ def _spec_from_args(args, protocol: str) -> PointSpec:
         zones=zones,
         zone_latency=zone_latency,
         zone_affinity=getattr(args, "zone_affinity", False),
-        lease_duration=args.leases,
         sessions_per_node=args.sessions,
+        # Leases are an m2paxos tunable; `compare` runs the others bare.
+        m2={"lease_duration": args.leases} if protocol == "m2paxos" else {},
     )
     if args.saturate:
         spec = saturated_spec(spec)
@@ -527,6 +529,7 @@ def cmd_perf(args) -> int:
     from repro.bench.perf import (
         PerfConfig,
         check_regressions,
+        headline_rows,
         run_perf,
         write_datapoint,
     )
@@ -537,81 +540,18 @@ def cmd_perf(args) -> int:
     datapoint = run_perf(config, only=args.benches or None)
     path = write_datapoint(datapoint, args.out)
 
-    rows = []
     results = datapoint["results"]
-    if "sim" in results:
-        rows.append({"bench": "sim events/sec",
-                     "value": results["sim"]["events_per_sec"]})
-    if "codec" in results:
-        rows.append({"bench": "codec binary/json speedup",
-                     "value": results["codec"]["speedup"]})
-        rows.append({"bench": "codec bytes/msg (bin)",
-                     "value": results["codec"]["binary_bytes_per_msg"]})
-    if "m2_batching" in results:
-        rows.append({"bench": "m2 batched cmds/sec",
-                     "value": results["m2_batching"]["batched"]["commands_per_sec"]})
-        rows.append({"bench": "m2 batching speedup",
-                     "value": results["m2_batching"]["speedup"]})
-    if "runtime_tcp" in results:
-        rows.append({"bench": "runtime TCP cmds/sec",
-                     "value": results["runtime_tcp"]["commands_per_sec"]})
-    if "runtime_saturation" in results:
-        saturation = results["runtime_saturation"]
-        for depth, entry in saturation["depths"].items():
-            rows.append({"bench": f"runtime depth={depth} cmds/sec",
-                         "value": entry["commands_per_sec"]})
-        rows.append({"bench": "runtime pipelined speedup",
-                     "value": saturation["pipelined_speedup"]})
-    if "sim_runtime_gap" in results:
-        rows.append({"bench": "sim/runtime gap ratio",
-                     "value": results["sim_runtime_gap"]["gap_ratio"]})
-    if "storage_fsync" in results:
-        rows.append({"bench": "fsync-batched records/sec",
-                     "value": results["storage_fsync"]["batched_fsync_records_per_sec"]})
-        rows.append({"bench": "fsync batching speedup",
-                     "value": results["storage_fsync"]["speedup"]})
-    if "telemetry_overhead" in results:
-        telemetry = results["telemetry_overhead"]
-        rows.append({"bench": "telemetry-off cmds/sec",
-                     "value": telemetry["off"]["commands_per_sec"]})
-        rows.append({"bench": "telemetry-on cmds/sec",
-                     "value": telemetry["on"]["commands_per_sec"]})
-        rows.append({"bench": "telemetry overhead ratio",
-                     "value": telemetry["overhead_ratio"]})
-    if "serving" in results:
-        serving = results["serving"]
-        for ratio, entry in serving["ratios"].items():
-            rows.append({"bench": f"serving {ratio} reads leased cmds/sec",
-                         "value": entry["leased"]["commands_per_sec"]})
-            rows.append({"bench": f"serving {ratio} reads speedup",
-                         "value": entry["speedup"]})
-        rows.append({"bench": "serving read_local speedup",
-                     "value": serving["read_local_speedup"]})
-        rows.append({"bench": "serving runtime speedup (90% reads)",
-                     "value": serving["runtime"]["speedup"]})
-    if "geo" in results:
-        geo = results["geo"]
-        rows.append({"bench": "geo pinned remote p50 ms",
-                     "value": geo["pinned"]["remote_p50_ms"]})
-        rows.append({"bench": "geo affinity remote p50 ms",
-                     "value": geo["zone_affinity"]["remote_p50_ms"]})
-        rows.append({"bench": "geo affinity+flex remote p50 ms",
-                     "value": geo["zone_affinity_flex"]["remote_p50_ms"]})
-        rows.append({"bench": "geo remote p50 improvement",
-                     "value": geo["remote_p50_improvement"]})
-        rows.append({"bench": "geo flex remote p50 improvement",
-                     "value": geo["flex_remote_p50_improvement"]})
-        rows.append({"bench": "geo flex+nearest remote p50 improvement",
-                     "value": geo["flex_nearest_remote_p50_improvement"]})
-    print_table(f"perf ({', '.join(results) or 'none'})", rows, ["bench", "value"])
+    print_table(
+        f"perf ({', '.join(results) or 'none'})",
+        headline_rows(results),
+        ["bench", "value"],
+    )
     print(f"datapoint: {path}")
 
     problems = check_regressions(datapoint)
     for problem in problems:
         print(f"perf regression: {problem}", file=sys.stderr)
-    if problems:
-        return 1
-    return 0
+    return 1 if problems else 0
 
 
 def _quorum_from_args(args):

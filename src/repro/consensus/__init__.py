@@ -21,7 +21,6 @@ from repro.consensus.base import (
 )
 from repro.consensus.commands import Command, conflict
 from repro.consensus.paxos import ClassicPaxos
-from repro.consensus.mencius import Mencius
 
 __all__ = [
     "Env",
@@ -33,5 +32,4 @@ __all__ = [
     "Command",
     "conflict",
     "ClassicPaxos",
-    "Mencius",
 ]

@@ -16,6 +16,16 @@ _DECIDED_EPOCH = 1 << 30
 """Sentinel epoch reported for already-decided instances in prepare
 replies, so SELECT always re-forces the decided command."""
 
+RETRY_BACKOFF = 0.002
+"""Base back-off (seconds) before re-coordinating a NACKed command; each
+retry waits ``attempt * RETRY_BACKOFF`` scaled by a random factor in
+[0.5, 1.5)."""
+
+LEASE_RENEW_FRACTION = 0.34
+"""Idle lease renewal cadence as a fraction of ``lease_duration``: the
+owner's heartbeat re-grants leases on owned objects that accept traffic
+has not refreshed recently."""
+
 
 class SafetyViolation(AssertionError):
     """Two different commands decided for the same instance."""
@@ -23,10 +33,14 @@ class SafetyViolation(AssertionError):
 
 @dataclass(frozen=True)
 class M2PaxosConfig:
-    """Tunables (timeouts in seconds of env time)."""
+    """Tunables (timeouts in seconds of env time).
+
+    This is the one declaration of every M2Paxos knob.  Other layers
+    (``protocol_factory``, ``PointSpec.m2``, ``Scenario.m2``, the geo
+    bench) pass a mapping of field overrides through to it.
+    """
 
     forward_timeout: float = 0.05
-    retry_backoff: float = 0.002
     gap_check_period: float = 0.2
     gap_timeout: float = 0.4
     # Proposer-side supervision: re-coordinate a command that has not
@@ -73,7 +87,6 @@ class M2PaxosConfig:
     ack_to_all: bool = False
     max_forward_hops: int = 1
     gap_recovery: bool = True
-    paranoid: bool = True
     # Optional deterministic epoch-0 ownership map (``l -> node id``),
     # identical on every node.  Lets an application with a natural data
     # partitioning (e.g. TPC-C warehouses) start on the fast path
@@ -111,10 +124,6 @@ class M2PaxosConfig:
     # ``lease_margin`` before its lease nominally expires.  Must be >=
     # the worst pairwise clock skew for reads to be linearizable.
     lease_margin: float = 0.002
-    # Idle renewal cadence as a fraction of ``lease_duration``; the
-    # owner's heartbeat timer re-grants leases on owned objects that
-    # accept traffic has not refreshed recently.
-    lease_renew_fraction: float = 0.34
     # Exactly-once session table bound (satellite: 10^6 sessions must
     # not OOM a node): beyond ``session_cap`` live client entries the
     # least-recently-active session is evicted (counted in telemetry).

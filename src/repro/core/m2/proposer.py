@@ -12,7 +12,7 @@ from typing import Optional
 from repro.consensus.base import handles
 from repro.consensus.commands import Command
 from repro.core.messages import Accept, AckAccept, Decide, Forward, Instance
-from repro.core.m2.config import _PendingAccept
+from repro.core.m2.config import RETRY_BACKOFF, _PendingAccept
 from repro.core.policy import FORWARD
 
 
@@ -249,7 +249,7 @@ class ProposerMixin:
         """
         attempt = self._attempts.get(command.cid, 0) + 1
         self._attempts[command.cid] = attempt
-        delay = self.config.retry_backoff * attempt * (0.5 + self.env.rng.random())
+        delay = RETRY_BACKOFF * attempt * (0.5 + self.env.rng.random())
 
         def fire() -> None:
             if not self._fully_decided(command):

@@ -8,6 +8,7 @@ re-proposals of forced multi-object commands.
 from __future__ import annotations
 
 from repro.consensus.commands import Command
+from repro.core.m2.config import RETRY_BACKOFF
 from repro.core.messages import Instance
 
 
@@ -62,7 +63,7 @@ class RecoveryMixin:
                 return
             self._prepare_round(command, remaining, kind="recover", fins=fins)
 
-        jitter = self.config.retry_backoff * (0.5 + self.env.rng.random())
+        jitter = RETRY_BACKOFF * (0.5 + self.env.rng.random())
         self.env.set_timer(jitter, fire)
 
     # ------------------------------------------------------------------

@@ -56,6 +56,7 @@ from typing import Iterable, Optional
 
 from repro.consensus.base import handles
 from repro.consensus.commands import Command
+from repro.core.m2.config import LEASE_RENEW_FRACTION
 from repro.core.messages import (
     AckRenew,
     Decide,
@@ -360,7 +361,7 @@ class ServingMixin:
     # ------------------------------------------------------------------
 
     def _schedule_lease_renew(self) -> None:
-        period = self.config.lease_duration * self.config.lease_renew_fraction
+        period = self.config.lease_duration * LEASE_RENEW_FRACTION
 
         def fire() -> None:
             self._renew_leases()
@@ -371,7 +372,7 @@ class ServingMixin:
     def _renew_leases(self) -> None:
         cfg = self.config
         now = self._lease_now()
-        period = cfg.lease_duration * cfg.lease_renew_fraction
+        period = cfg.lease_duration * LEASE_RENEW_FRACTION
         objs: dict[str, int] = {}
         for l in list(self._lease_grants):
             if not self._is_current_owner(l):

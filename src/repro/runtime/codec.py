@@ -25,7 +25,7 @@ import struct
 from dataclasses import fields, is_dataclass
 from typing import Any, Optional
 
-from repro.consensus import epaxos, genpaxos, mencius, multipaxos, paxos
+from repro.consensus import epaxos, genpaxos, multipaxos, paxos
 from repro.consensus.base import Message
 from repro.consensus.commands import Command
 from repro.core import messages as core_messages
@@ -49,7 +49,7 @@ def register_message(cls: type) -> None:
     _JSON_ONLY.discard(cls)
 
 
-for module in (core_messages, multipaxos, genpaxos, epaxos, paxos, mencius):
+for module in (core_messages, multipaxos, genpaxos, epaxos, paxos):
     for name in dir(module):
         obj = getattr(module, name)
         if isinstance(obj, type) and issubclass(obj, Message) and obj is not Message:

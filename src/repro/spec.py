@@ -25,7 +25,10 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Optional
 
 from repro.consensus.base import Protocol
-from repro.core.m2.config import M2PaxosConfig
+from repro.consensus.epaxos import EPaxos, EPaxosConfig
+from repro.consensus.genpaxos import GenPaxos, GenPaxosConfig
+from repro.consensus.multipaxos import MultiPaxos, MultiPaxosConfig
+from repro.core.m2 import M2Paxos, M2PaxosConfig
 from repro.sim.cpu import CpuConfig
 from repro.sim.network import NetworkConfig
 from repro.storage.base import StorageConfig
@@ -41,6 +44,64 @@ class ConfigError(ValueError):
     ``"storage.kind"``), so a typo in a config file surfaces as one
     actionable line rather than a dataclass traceback.
     """
+
+
+BENCH_M2 = M2PaxosConfig(
+    forward_timeout=1.0,
+    # Balanced gap healing: fast enough that ownership-churn holes do
+    # not stall the pipeline for long, slow enough not to scoop rounds
+    # that are merely queued at saturation.
+    gap_timeout=0.5,
+    gap_check_period=0.25,
+    supervise_timeout=30.0,
+    round_timeout=10.0,
+)
+"""The M2Paxos config every benchmark and default spec runs.
+
+It differs from the library defaults only in its supervision timeouts:
+at saturation, command latency is dominated by queueing, and the
+paper's runs are crash-free, so the fault-tolerance timers are relaxed
+to keep spurious recoveries from polluting the measurement (exactly as
+a real deployment would tune them)."""
+
+_M2_KNOBS = frozenset(f.name for f in fields(M2PaxosConfig))
+
+
+def protocol_factory(
+    name: str, *, costs=None, **m2: Any
+) -> Callable[[int, int], Protocol]:
+    """The ``(node_id, n_nodes) -> Protocol`` factory for ``name``.
+
+    ``m2`` holds M2Paxos tunables, applied as field overrides over
+    :data:`BENCH_M2`; an unknown key, or any key for another protocol,
+    raises :class:`ConfigError` naming it.  ``costs`` optionally
+    replaces the protocol's CPU-cost profile (the perf bench uses a
+    wire-bound profile to isolate the protocol-layer effect of
+    batching).
+    """
+    unknown = sorted(set(m2) - _M2_KNOBS)
+    if unknown:
+        raise ConfigError(f"m2.{unknown[0]}: unknown M2Paxos tunable")
+    if name == "m2paxos":
+        cls, config = M2Paxos, replace(BENCH_M2, **m2)
+    elif m2:
+        raise ConfigError(f"m2.{sorted(m2)[0]}: only m2paxos takes M2Paxos tunables")
+    elif name == "multipaxos":
+        cls, config = MultiPaxos, MultiPaxosConfig(leader_timeout=30.0)
+    elif name == "genpaxos":
+        cls, config = GenPaxos, GenPaxosConfig(retry_timeout=1.0)
+    elif name == "epaxos":
+        cls, config = EPaxos, EPaxosConfig(commit_timeout=30.0)
+    else:
+        raise ConfigError(f"protocol: must be one of {PROTOCOLS}, got {name!r}")
+
+    def make(node_id: int, n_nodes: int) -> Protocol:
+        protocol = cls(config)
+        if costs is not None:
+            protocol.costs = costs
+        return protocol
+
+    return make
 
 
 @dataclass(frozen=True)
@@ -147,21 +208,10 @@ class ClusterSpec:
         )
 
     def protocol_factory(self) -> Callable[[int, int], Protocol]:
-        """The ``(node_id, n_nodes) -> Protocol`` factory for this spec.
-
-        With explicit ``m2`` tunables (m2paxos only) each node gets
-        ``M2Paxos(config=spec.m2)``; otherwise the benchmark-tuned
-        factory from :mod:`repro.bench.harness` supplies the protocol's
-        defaults.
-        """
-        if self.protocol == "m2paxos" and self.m2 is not None:
-            from repro.core.protocol import M2Paxos
-
-            m2 = self.m2
-            return lambda node_id, n_nodes: M2Paxos(config=m2)
-        from repro.bench.harness import protocol_factory
-
-        return protocol_factory(self.protocol)
+        """The ``(node_id, n_nodes) -> Protocol`` factory for this spec:
+        M2Paxos runs exactly ``m2`` when set, else :data:`BENCH_M2`."""
+        m2 = vars(self.m2) if self.m2 is not None and self.protocol == "m2paxos" else {}
+        return protocol_factory(self.protocol, **m2)
 
     # ------------------------------------------------------------------
     # Validated construction from dict-shaped config

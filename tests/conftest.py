@@ -9,7 +9,6 @@ import pytest
 from repro.consensus.commands import Command
 from repro.consensus.epaxos import EPaxos
 from repro.consensus.paxos import ClassicPaxos
-from repro.consensus.mencius import Mencius
 from repro.consensus.genpaxos import GenPaxos
 from repro.consensus.multipaxos import MultiPaxos
 from repro.core.protocol import M2Paxos
@@ -21,7 +20,6 @@ PROTOCOL_FACTORIES = {
     "genpaxos": lambda node_id, n: GenPaxos(),
     "epaxos": lambda node_id, n: EPaxos(),
     "paxos": lambda node_id, n: ClassicPaxos(),
-    "mencius": lambda node_id, n: Mencius(),
 }
 
 

@@ -1,17 +1,24 @@
 """Unit tests for the benchmark harness and reporting helpers."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.bench.harness import (
-    PROTOCOLS,
     PointSpec,
+    build_run,
     build_workload,
     protocol_factory,
     run_point,
     saturated_spec,
 )
+from repro.bench.perf import SATURATION_M2
 from repro.bench.report import format_table, series_by
+from repro.chaos import Scenario
+from repro.consensus.base import ProtocolCosts
+from repro.core.m2.config import LEASE_RENEW_FRACTION, RETRY_BACKOFF, M2PaxosConfig
 from repro.sim.rng import RngRegistry
+from repro.spec import PROTOCOLS, ConfigError
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.tpcc import TpccWorkload
 
@@ -31,6 +38,78 @@ class TestProtocolFactory:
         hint = lambda name: 1
         protocol = protocol_factory("m2paxos", home_hint=hint)(0, 3)
         assert protocol.config.home_hint is hint
+
+    def test_unknown_m2_key_rejected_by_name(self):
+        with pytest.raises(ConfigError, match="max_btach"):
+            protocol_factory("m2paxos", max_btach=8)
+
+    @pytest.mark.parametrize("name", [p for p in PROTOCOLS if p != "m2paxos"])
+    def test_m2_override_rejected_for_other_protocols(self, name):
+        with pytest.raises(ConfigError, match="max_batch"):
+            protocol_factory(name, max_batch=8)
+
+    @pytest.mark.parametrize("leased", [False, True])
+    def test_benchmark_configs_unchanged(self, leased):
+        """The configs the repository benchmark's runtime workloads
+        build, pinned field for field."""
+        m2 = dict(SATURATION_M2)
+        if leased:  # the read-mostly workload
+            m2.update(lease_duration=0.5, lease_margin=0.005)
+        config = protocol_factory("m2paxos", **m2)(0, 3).config
+        assert vars(config) == {
+            "forward_timeout": 1.0,
+            "gap_check_period": 0.25,
+            "gap_timeout": 0.5,
+            "supervise_timeout": 30.0,
+            "round_timeout": 10.0,
+            "learn_resend_timeout": 0.25,
+            "learn_resend_attempts": 12,
+            "max_batch": 32,
+            "batch_wait": 0.005,
+            "batch_adaptive": True,
+            "ack_to_all": False,
+            "max_forward_hops": 1,
+            "gap_recovery": True,
+            "home_hint": None,
+            "policy": None,
+            "quorum": None,
+            "lease_duration": 0.5 if leased else 0.0,
+            "lease_margin": 0.005 if leased else 0.002,
+            "session_cap": 65536,
+            "nearest_accept": False,
+            "quorum_rtt": None,
+        }
+        assert (RETRY_BACKOFF, LEASE_RENEW_FRACTION) == (0.002, 0.34)
+
+    def test_costs_replace_the_cost_profile(self):
+        costs = ProtocolCosts(base_cost=1e-3)
+        assert protocol_factory("epaxos", costs=costs)(0, 3).costs is costs
+
+
+class TestOneDeclarationPerKnob:
+    """M2Paxos tunables are declared once, in M2PaxosConfig."""
+
+    def test_point_spec_and_scenario_carry_no_m2_knob(self):
+        knobs = {f.name for f in fields(M2PaxosConfig)}
+        for cls in (PointSpec, Scenario):
+            assert not knobs & {f.name for f in fields(cls)}, cls
+
+    def test_point_spec_m2_reaches_every_node(self):
+        spec = PointSpec(
+            protocol="m2paxos", n_nodes=3, m2={"max_batch": 8, "batch_wait": 1e-3}
+        )
+        for node in build_run(spec).cluster.nodes:
+            assert node.protocol.config.max_batch == 8
+            assert node.protocol.config.batch_wait == 1e-3
+
+    def test_point_spec_m2_rejected_for_other_protocols(self):
+        spec = PointSpec(protocol="epaxos", n_nodes=3, m2={"max_batch": 8})
+        with pytest.raises(ConfigError, match="max_batch"):
+            build_run(spec)
+
+    def test_tpcc_home_hint_only_for_m2paxos(self):
+        for protocol in PROTOCOLS:
+            build_run(PointSpec(protocol=protocol, n_nodes=3, workload="tpcc"))
 
 
 class TestWorkloadBuilder:

@@ -395,7 +395,7 @@ class TestScenarios:
         from dataclasses import replace
 
         scenario = by_name("lease-expiry-partition")
-        assert scenario.lease_duration > 0.0 and scenario.read_fraction > 0.0
+        assert scenario.m2["lease_duration"] > 0.0 and scenario.read_fraction > 0.0
         result = run_scenario(replace(scenario, seed=seed))
         assert result.ok, result.report.violations
         if seed == scenario.seed:  # determinism on the pinned seed

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.consensus import epaxos, genpaxos, mencius, multipaxos, paxos
+from repro.consensus import epaxos, genpaxos, multipaxos, paxos
 from repro.consensus.base import Dispatcher, Message, handles
 from repro.consensus.commands import Command
 from repro.core import messages as m2_messages
@@ -40,7 +40,6 @@ CASES = [
     (M2Paxos, m2_messages),
     (epaxos.EPaxos, epaxos),
     (genpaxos.GenPaxos, genpaxos),
-    (mencius.Mencius, mencius),
     (multipaxos.MultiPaxos, multipaxos),
     (paxos.ClassicPaxos, paxos),
     (switcher.AdaptiveSwitcher, switcher),

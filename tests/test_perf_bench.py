@@ -189,35 +189,28 @@ def test_check_regressions_trips_on_costly_telemetry():
     assert "telemetry" in problems[0]
 
 
-def test_sim_runtime_gap_datapoint():
-    datapoint = run_perf(MICRO, only=["m2_batching", "runtime_tcp"])
-    gap = datapoint["results"]["sim_runtime_gap"]
-    assert gap["sim_commands_per_sec"] > 0
-    assert gap["runtime_commands_per_sec"] > 0
-    assert gap["gap_ratio"] == pytest.approx(
-        gap["sim_commands_per_sec"] / gap["runtime_commands_per_sec"]
-    )
-    # The gap entry joins the datapoint's identity key, so reruns of the
-    # same bench set still dedupe.
-    assert "sim_runtime_gap" in datapoint["results"]
+def test_headline_rows_follow_the_table():
+    from repro.bench.perf import HEADLINES, headline_rows
 
-
-def test_gap_prefers_saturation_and_needs_both_sides():
-    from repro.bench.perf import sim_runtime_gap
-
-    assert sim_runtime_gap({}) is None
-    assert sim_runtime_gap({"m2_batching": {"batched": {}}}) is None
-    assert (
-        sim_runtime_gap({"runtime_tcp": {"commands_per_sec": 100.0}}) is None
-    )
-    both = {
-        "m2_batching": {"batched": {"commands_per_sec": 1000.0}},
-        "runtime_tcp": {"commands_per_sec": 100.0},
-        "runtime_saturation": {"best_commands_per_sec": 500.0},
+    results = {
+        "runtime_saturation": {
+            "depths": {"1": {"commands_per_sec": 10.0}, "16": {"commands_per_sec": 40.0}},
+            "pipelined_speedup": 4.0,
+        },
+        "codec": {"speedup": 2.0, "binary_bytes_per_msg": 50.0},
+        "unlisted": {"anything": 1},
     }
-    gap = sim_runtime_gap(both)
-    assert gap["runtime_commands_per_sec"] == 500.0
-    assert gap["gap_ratio"] == 2.0
+    assert headline_rows(results) == [
+        {"bench": "runtime depth=1 cmds/sec", "value": 10.0},
+        {"bench": "runtime depth=16 cmds/sec", "value": 40.0},
+        {"bench": "runtime pipelined speedup", "value": 4.0},
+        {"bench": "codec binary/json speedup", "value": 2.0},
+        {"bench": "codec bytes/msg (bin)", "value": 50.0},
+    ]
+    # Every registered bench reports at least one headline.
+    from repro.bench.perf import BENCHES
+
+    assert set(HEADLINES) == set(BENCHES)
 
 
 def test_config_hash_stable_and_config_sensitive():

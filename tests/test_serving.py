@@ -387,7 +387,6 @@ class TestLeasesOffBehaviour:
             M2PaxosConfig(
                 lease_duration=0.0,  # the off switch
                 lease_margin=0.5,
-                lease_renew_fraction=0.9,
                 session_cap=17,
                 nearest_accept=False,
             )
